@@ -1,14 +1,19 @@
-"""Hand-written lexer for jlang, the Java-like surface language.
+"""One-pass lexer for jlang, the Java-like surface language.
 
 jlang covers the subset of Java that TAJ's motivating examples and the
 synthetic benchmark suite need: classes, interfaces, fields, methods,
 arrays, strings, control flow, try/catch, casts, and `new`.
+
+The source is scanned once with a single compiled master pattern; the
+alternative that matched (``lastgroup``) picks the token class.  Lines
+and columns come from newline offsets, not from a per-character walk.
+docs/jlang.md ("Lexical structure") states the exact rules.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Iterator, List
+import re
+from typing import List, NamedTuple, Tuple
 
 from .errors import LexError
 
@@ -20,16 +25,10 @@ KEYWORDS = frozenset({
     "public", "private", "protected", "final",
 })
 
-# Longest-match first.
-SYMBOLS = [
-    "==", "!=", "<=", ">=", "&&", "||", "+=", "++", "--", "-=",
-    "{", "}", "(", ")", "[", "]", ";", ",", ".", "=", "+", "-", "*",
-    "/", "%", "<", ">", "!", "&", "|",
-]
+_ESCAPES = {"n": "\n", "t": "\t", '"': '"', "\\": "\\"}
 
 
-@dataclass(frozen=True)
-class Token:
+class Token(NamedTuple):
     kind: str          # "id", "kw", "int", "string", "sym", "eof"
     text: str
     line: int
@@ -39,110 +38,122 @@ class Token:
         return f"Token({self.kind},{self.text!r}@{self.line}:{self.col})"
 
 
-class Lexer:
-    """Converts jlang source text into a token list."""
+# Blanks before a token are folded into its match; a newline is a match
+# of its own, so the line count needs no scan.  The alternatives are
+# ordered by frequency.  Where two could match at one offset the first
+# is the right one: ``sym`` tries two-character symbols before single
+# characters (longest match) and its ``/`` excludes comment starts;
+# ``str`` (no escape, no newline) is a special case of ``esc``; ``int``
+# takes non-ASCII decimal digits before ``uni``; and ``open`` catches
+# the comments and strings the earlier alternatives could not close.
+# ``uni`` is an identifier only if its first character is a letter
+# (``str.isalpha`` has no regex class); ``open`` and ``bad`` always raise.
+_MASTER = re.compile(r"""[ \t\r]*(?:
+    (?P<id>[A-Za-z_$][\w$]*)
+  | (?P<sym>==|!=|<=|>=|&&|\|\||\+=|\+\+|--|-=|[{}()\[\];,.=+\-*%<>!&|]
+      |/(?![/*]))
+  | (?P<nl>\n)
+  | (?P<str>"[^"\\\n]*")
+  | (?P<int>\d+)
+  | (?P<line>//[^\n]*)
+  | (?P<block>/\*[\s\S]*?\*/)
+  | (?P<esc>"[^"\\]*(?:\\[nt"\\][^"\\]*)*")
+  | (?P<eof>\Z)
+  | (?P<uni>[^\x00-\x7f][\w$]*)
+  | (?P<open>/\*|")
+  | (?P<bad>[\s\S])
+)""", re.VERBOSE)
+_ESCAPE = re.compile(r"\\(.)")
 
-    def __init__(self, source: str, filename: str = "<string>") -> None:
-        self.source = source
-        self.filename = filename
-        self.pos = 0
-        self.line = 1
-        self.col = 1
 
-    def _error(self, message: str) -> LexError:
-        return LexError(message, self.line, self.col)
+def _position(source: str, offset: int) -> Tuple[int, int]:
+    """1-based (line, col) of ``offset``; only ``\\n`` ends a line."""
+    line_start = source.rfind("\n", 0, offset) + 1
+    return source.count("\n", 0, offset) + 1, offset - line_start + 1
 
-    def _advance(self, n: int = 1) -> None:
-        for _ in range(n):
-            if self.pos < len(self.source):
-                if self.source[self.pos] == "\n":
-                    self.line += 1
-                    self.col = 1
-                else:
-                    self.col += 1
-                self.pos += 1
 
-    def _peek(self, offset: int = 0) -> str:
-        idx = self.pos + offset
-        return self.source[idx] if idx < len(self.source) else ""
+def _error(source: str, message: str, offset: int) -> LexError:
+    return LexError(message, *_position(source, offset))
 
-    def _skip_trivia(self) -> None:
-        while self.pos < len(self.source):
-            ch = self._peek()
-            if ch in " \t\r\n":
-                self._advance()
-            elif ch == "/" and self._peek(1) == "/":
-                while self.pos < len(self.source) and self._peek() != "\n":
-                    self._advance()
-            elif ch == "/" and self._peek(1) == "*":
-                self._advance(2)
-                while self.pos < len(self.source) and not (
-                        self._peek() == "*" and self._peek(1) == "/"):
-                    self._advance()
-                if self.pos >= len(self.source):
-                    raise self._error("unterminated block comment")
-                self._advance(2)
-            else:
-                return
 
-    def tokens(self) -> List[Token]:
-        out: List[Token] = []
-        while True:
-            tok = self._next_token()
-            out.append(tok)
-            if tok.kind == "eof":
-                return out
-
-    def _next_token(self) -> Token:
-        self._skip_trivia()
-        line, col = self.line, self.col
-        if self.pos >= len(self.source):
-            return Token("eof", "", line, col)
-        ch = self._peek()
-        if ch.isalpha() or ch == "_" or ch == "$":
-            start = self.pos
-            while self._peek() and (self._peek().isalnum() or
-                                    self._peek() in "_$"):
-                self._advance()
-            text = self.source[start:self.pos]
-            kind = "kw" if text in KEYWORDS else "id"
-            return Token(kind, text, line, col)
-        if ch.isdigit():
-            start = self.pos
-            while self._peek().isdigit():
-                self._advance()
-            return Token("int", self.source[start:self.pos], line, col)
-        if ch == '"':
-            return self._string(line, col)
-        for sym in SYMBOLS:
-            if self.source.startswith(sym, self.pos):
-                self._advance(len(sym))
-                return Token("sym", sym, line, col)
-        raise self._error(f"unexpected character {ch!r}")
-
-    def _string(self, line: int, col: int) -> Token:
-        self._advance()  # opening quote
-        chars: List[str] = []
-        while True:
-            ch = self._peek()
-            if ch == "":
-                raise self._error("unterminated string literal")
-            if ch == '"':
-                self._advance()
-                return Token("string", "".join(chars), line, col)
-            if ch == "\\":
-                self._advance()
-                esc = self._peek()
-                mapping = {"n": "\n", "t": "\t", '"': '"', "\\": "\\"}
-                if esc not in mapping:
-                    raise self._error(f"bad escape \\{esc}")
-                chars.append(mapping[esc])
-                self._advance()
-            else:
-                chars.append(ch)
-                self._advance()
+def _open_error(source: str, start: int) -> LexError:
+    """The error for the block comment or string opening at ``start``
+    that the master pattern could not close: an unterminated comment or
+    string is reported at the end of the input, a bad escape at the
+    character after its backslash."""
+    if source.startswith("/*", start):
+        return _error(source, "unterminated block comment", len(source))
+    pos = start + 1
+    end = len(source)
+    while pos < end:
+        ch = source[pos]
+        if ch == "\\":
+            pos += 1
+            esc = source[pos] if pos < end else ""
+            if esc not in _ESCAPES:
+                return _error(source, f"bad escape \\{esc}", pos)
+        pos += 1
+    return _error(source, "unterminated string literal", end)
 
 
 def tokenize(source: str, filename: str = "<string>") -> List[Token]:
-    """Tokenize jlang source; convenience wrapper over :class:`Lexer`."""
-    return Lexer(source, filename).tokens()
+    """Tokenize jlang source; the last token is always ``eof``."""
+    out: List[Token] = []
+    append = out.append
+    new = tuple.__new__
+    match = _MASTER.match
+    keywords = KEYWORDS
+    pos = 0
+    line = 1
+    line_start = 0              # offset of the current line's first char
+    while True:
+        found = match(source, pos)
+        pos = found.end()
+        kind = found.lastgroup
+        if kind == "id":
+            text = found.group(kind)
+            append(new(Token, ("kw" if text in keywords else "id", text,
+                               line, pos - len(text) - line_start + 1)))
+        elif kind == "sym" or kind == "int":
+            text = found.group(kind)
+            append(new(Token, (kind, text, line,
+                               pos - len(text) - line_start + 1)))
+        elif kind == "nl":
+            line += 1
+            line_start = pos
+        elif kind == "str" or kind == "esc":
+            start = found.start(kind)
+            raw = found.group(kind)
+            text = raw[1:-1]
+            if kind == "esc":
+                text = _ESCAPE.sub(lambda m: _ESCAPES[m.group(1)], text)
+            append(new(Token, ("string", text, line,
+                               start - line_start + 1)))
+            breaks = raw.count("\n")
+            if breaks:
+                line += breaks
+                line_start = start + raw.rfind("\n") + 1
+        elif kind == "line":
+            pass
+        elif kind == "block":
+            raw = found.group(kind)
+            breaks = raw.count("\n")
+            if breaks:
+                line += breaks
+                line_start = found.start(kind) + raw.rfind("\n") + 1
+        elif kind == "eof":
+            append(new(Token, ("eof", "", line, pos - line_start + 1)))
+            return out
+        elif kind == "uni":
+            start = found.start(kind)
+            text = found.group(kind)
+            if not text[0].isalpha():
+                raise LexError(f"unexpected character {text[0]!r}", line,
+                               start - line_start + 1)
+            append(new(Token, ("id", text, line, start - line_start + 1)))
+        elif kind == "open":
+            raise _open_error(source, found.start(kind))
+        elif kind == "bad":
+            start = found.start(kind)
+            raise LexError(f"unexpected character {source[start]!r}", line,
+                           start - line_start + 1)

@@ -94,3 +94,59 @@ def test_mixed_program_token_stream():
     texts = [t.text for t in tokenize(source)[:-1]]
     assert texts == ["class", "C", "{", "void", "m", "(", ")", "{", "int",
                      "x", "=", "1", "+", "2", ";", "}", "}"]
+
+
+def test_int_tokens_take_any_decimal_digit():
+    toks = tokenize("١٢ 7")
+    assert [(t.kind, t.text) for t in toks[:-1]] == [
+        ("int", "١٢"), ("int", "7")]
+
+
+def test_non_decimal_digit_at_token_start_is_a_lex_error():
+    with pytest.raises(LexError) as info:
+        tokenize("int x =\n  ²;")
+    assert info.value.message == "unexpected character '²'"
+    assert (info.value.line, info.value.col) == (2, 3)
+
+
+def test_non_decimal_digit_ends_an_int_token():
+    with pytest.raises(LexError) as info:
+        tokenize("x = 12²;")
+    assert info.value.message == "unexpected character '²'"
+    assert (info.value.line, info.value.col) == (1, 7)
+
+
+def test_non_decimal_digit_continues_an_identifier():
+    assert kinds("x² été") == [("id", "x²"), ("id", "été")]
+
+
+def test_carriage_return_is_not_a_newline_and_tab_is_one_column():
+    toks = tokenize("a\r\tb\nc")
+    assert [(t.text, t.line, t.col) for t in toks[:-1]] == [
+        ("a", 1, 1), ("b", 1, 4), ("c", 2, 1)]
+
+
+def test_multi_line_string_moves_the_line_count():
+    toks = tokenize('"one\ntwo" x')
+    assert toks[0].text == "one\ntwo"
+    assert (toks[1].line, toks[1].col) == (2, 6)
+
+
+def test_error_positions():
+    cases = [
+        ('"abc', "unterminated string literal", 1, 5),
+        ('x = "a\\q"', "bad escape \\q", 1, 8),
+        ('"\\', "bad escape \\", 1, 3),
+        ("a\n/* open\n  ", "unterminated block comment", 3, 3),
+    ]
+    for source, message, line, col in cases:
+        with pytest.raises(LexError) as info:
+            tokenize(source)
+        assert (info.value.message, info.value.line, info.value.col) == \
+            (message, line, col), source
+
+
+def test_token_is_a_tuple_with_the_old_repr():
+    tok = tokenize("foo")[0]
+    assert tuple(tok) == ("id", "foo", 1, 1)
+    assert repr(tok) == "Token(id,'foo'@1:1)"

@@ -138,3 +138,16 @@ def test_fault_plan_crash_recovery_keeps_report_exit_code(tmp_path,
     assert clean_code == 1 and code == 1
     assert captured.out == clean_out
     assert "Traceback" not in captured.err + captured.out
+
+
+def test_non_decimal_digit_is_a_positioned_frontend_error(tmp_path, capsys):
+    """``²`` passes ``str.isdigit`` but is not a decimal digit: it is an
+    unexpected character at its position, not a crash in ``int()``."""
+    path = write(tmp_path, "digit.jlang",
+                 "class A { void f() { int x = ²; } }")
+    code = main([path])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert "[frontend] LexError: unexpected character '²' at 1:30" \
+        in captured.err
+    assert "Traceback" not in captured.err + captured.out
