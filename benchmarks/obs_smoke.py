@@ -7,7 +7,8 @@ validates every artifact:
 * the Chrome trace is non-empty, schema-valid, and contains all five
   top-level ``phase.*`` spans per analyzed case;
 * the metrics snapshot carries the solver counters, timer percentile
-  summaries, and the peak-memory gauge;
+  summaries, the peak-memory gauge, and a ``gc.collections`` gauge of
+  0 (no cyclic collection ran during the analysis);
 * the audit payload is well-formed (and non-empty whenever the run
   actually reported issues, i.e. the CLI exited 1);
 * the collapsed-stack profile parses (``stack count`` lines whose
@@ -68,6 +69,10 @@ def check_metrics(path: Path, case: str) -> None:
         assert field in solving, f"{case}: timer summary missing {field}"
     assert snap["gauges"].get("memory.peak_bytes", 0) > 0, \
         f"{case}: no peak-memory gauge"
+    # Analyses run with automatic cyclic collection paused
+    # (repro.gcpause); a collection mid-run means a path escaped it.
+    assert snap["gauges"].get("gc.collections") == 0, \
+        f"{case}: gc.collections {snap['gauges'].get('gc.collections')}"
 
 
 def check_audit(path: Path, case: str, expect_flows: bool) -> None:

@@ -9,6 +9,7 @@ from typing import Dict, List, Optional
 
 from ..core import TAJ, TAJConfig
 from ..core.results import TAJResult
+from ..gcpause import gc_paused
 from ..modeling import PreparedProgram, prepare
 from .generator import GeneratedApp
 from .oracle import Score, aggregate, score_run
@@ -115,8 +116,11 @@ def run_suite(apps: Optional[Dict[str, GeneratedApp]] = None,
         for name in sorted(apps):
             app = apps[name]
             try:
-                prepared = prepare(app.sources,
-                                   app.deployment_descriptor)
+                # The shared modeling phase is analysis work too: run it
+                # under the same collector pause as analyze_prepared.
+                with gc_paused():
+                    prepared = prepare(app.sources,
+                                       app.deployment_descriptor)
             except Exception as exc:
                 if not isolate:
                     raise

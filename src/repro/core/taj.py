@@ -40,6 +40,7 @@ from typing import Dict, List, Optional
 from ..bounds import Budget
 from ..callgraph import PriorityOrder
 from ..confirm.oracle import ReplayOracle
+from ..gcpause import collections_during_pause, gc_paused
 from ..modeling import (COLLECTION_CLASSES, FACTORY_METHODS, ModelOptions,
                         PreparedProgram, default_natives, prepare)
 from ..obs import Observability
@@ -83,7 +84,11 @@ class TAJ:
         self._summary_backend: Optional[object] = None
 
     # -- public API ------------------------------------------------------------
+    #
+    # Both entry points run with automatic cyclic collection paused
+    # (repro.gcpause): the analysis state is one live graph until return.
 
+    @gc_paused()
     def analyze_sources(self, sources: List[str],
                         deployment_descriptor: Optional[Dict[str, str]]
                         = None,
@@ -123,6 +128,7 @@ class TAJ:
                                      confirm_descriptor=
                                      deployment_descriptor)
 
+    @gc_paused()
     def analyze_prepared(self, prepared: PreparedProgram,
                          times: Optional[PhaseTimes] = None,
                          obs: Optional[Observability] = None,
@@ -411,6 +417,7 @@ class TAJ:
         if remaining is not None:
             metrics.gauge("resilience.deadline_remaining_seconds",
                           round(remaining, 6))
+        metrics.gauge("gc.collections", collections_during_pause())
         obs.finish()
         profiler = getattr(obs, "profiler", None)
         if profiler is not None:

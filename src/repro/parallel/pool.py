@@ -31,6 +31,7 @@ import time
 from concurrent.futures import ProcessPoolExecutor, as_completed
 from typing import List, Optional
 
+from ..gcpause import gc_paused, reset_after_fork
 from .snapshot import (EngineSnapshot, WorkerContext, WorkerInitError,
                        execute_process_fault)
 
@@ -50,6 +51,9 @@ _RELOAD_BARRIER = None
 def _init_worker(blob: bytes, heartbeat=None, generation: int = 0,
                  reload_barrier=None) -> None:
     global _WORKER_CONTEXT, _HEARTBEAT, _RELOAD_BARRIER
+    # A fork inherits the parent's collector pause; a worker outlives
+    # the analysis that forked it, so it must collect between shards.
+    reset_after_fork()
     _HEARTBEAT = heartbeat
     _RELOAD_BARRIER = reload_barrier
     context = WorkerContext(blob)
@@ -80,7 +84,8 @@ def _run_shard(index: int, attempt: int = 0):
     if _HEARTBEAT is not None:
         _HEARTBEAT[2 * index] = time.monotonic()
         _HEARTBEAT[2 * index + 1] = float(os.getpid())
-    return _WORKER_CONTEXT.run_shard(index, attempt)
+    with gc_paused():
+        return _WORKER_CONTEXT.run_shard(index, attempt)
 
 
 def _reload_worker(blob: bytes, timeout: float) -> int:

@@ -52,11 +52,6 @@ class SecurityRule:
         syntactic = call.target_id()
         if syntactic in names:
             return syntactic
-        if not call.class_name:
-            # Unresolved virtual call: match on the bare method name.
-            for display in names:
-                if display.rsplit(".", 1)[-1] == call.method_name:
-                    return display
         return None
 
     def source_match(self, call: Call,

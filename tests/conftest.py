@@ -6,6 +6,8 @@ session-scoped: the underlying objects are never mutated by tests.
 
 from __future__ import annotations
 
+import gc
+
 import pytest
 
 from repro import TAJ, TAJConfig
@@ -34,6 +36,16 @@ def lower_mini_ssa(source: str) -> Program:
     program_to_ssa(program)
     validate_program(program)
     return program
+
+
+@pytest.fixture(autouse=True)
+def collector_left_enabled():
+    """Fail any test that leaves the cyclic collector disabled: every
+    analysis entry point must restore it (repro.gcpause)."""
+    yield
+    if not gc.isenabled():
+        gc.enable()
+        pytest.fail("test left the cyclic garbage collector disabled")
 
 
 @pytest.fixture(scope="session")

@@ -2,8 +2,12 @@
 into live workers instead of respawning them, stays byte-identical to
 the serial sweep, and heals itself by rebuilding when broken."""
 
+import gc
+import multiprocessing as mp
+
 import pytest
 
+from repro import TAJ, TAJConfig
 from repro.bounds import Budget
 from repro.modeling import default_natives, prepare
 from repro.obs import Observability
@@ -135,3 +139,21 @@ def test_lease_rebuilds_after_broken_pool(apps):
         assert lease.builds == 2
     finally:
         lease.close()
+
+
+@pytest.mark.skipif("fork" not in mp.get_all_start_methods(),
+                    reason="needs the fork start method")
+def test_leased_workers_forked_mid_analysis_collect_garbage():
+    """Workers forked inside an analysis inherit its collector pause;
+    a leased pool outlives that analysis, so its workers must turn the
+    collector back on and pause it only while running a shard."""
+    config = TAJConfig.hybrid_unbounded().with_jobs(2, start_method="fork")
+    with PoolLease(2, "fork") as lease:
+        result = TAJ(config, pool_lease=lease).analyze_sources([APP_A])
+        assert result.issues == 2
+        assert lease.builds == 1
+        pool = lease.pool._pool
+        states = [pool.submit(gc.isenabled).result(timeout=60)
+                  for _ in range(4)]
+        assert states == [True] * 4
+        assert gc.isenabled()

@@ -27,10 +27,12 @@ def test_source_match_syntactic():
     assert rule.source_match(call) is not None
 
 
-def test_source_match_by_bare_name_for_unresolved_virtual():
+def test_no_bare_name_match_for_receiver_call():
     rule = default_rules().by_name("XSS")
     call = make_call("", "getParameter")
-    assert rule.source_match(call) is not None
+    # A receiver call names no class: only its resolved target matches.
+    assert rule.source_match(call) is None
+    assert rule.source_match(call, "AppRequest.getParameter") is None
 
 
 def test_no_bare_name_match_when_class_known():
