@@ -127,9 +127,8 @@ class AppSpec:
 
         The generator spreads flow methods across servlets (~4 per
         servlet), so a scaled spec grows proportionally many
-        entrypoints — the dimension the parallel taint sweep shards on
-        (``repro.parallel.shards``).  Ground truth scales with it: the
-        oracle stays mechanical at every factor.
+        entrypoints.  Ground truth scales with it: the oracle stays
+        mechanical at every factor.
         """
         if factor < 1:
             raise ValueError(f"scale factor must be >= 1, got {factor}")
@@ -709,80 +708,13 @@ def generate_app(spec: AppSpec) -> GeneratedApp:
 
 
 def scaling_corpus(scale: int, seed: int = 7) -> GeneratedApp:
-    """The parallel-scaling corpus: the default spec at ``scale``×.
+    """The scaled corpus: the default spec at ``scale``×.
 
     At scale 1 this is a ~3-servlet app; at scale 10 it has ~35
-    entrypoints and at scale 100 ~350 — enough independent seed groups
-    to keep any realistic ``--jobs`` fan-out busy
-    (``benchmarks/parallel_scaling.py``).
+    entrypoints and at scale 30 (the end-to-end benchmark's headline
+    app) about 9,000 lines.
     """
     return generate_app(AppSpec(name="scaling", seed=seed).scaled(scale))
-
-
-def summary_corpus(entrypoints: int, depth: int = 48, stmts: int = 6,
-                   variant: int = 0) -> GeneratedApp:
-    """The summary-cache corpus: a deep shared library, thin servlets.
-
-    The inverse of :func:`scaling_corpus`'s shape: instead of many
-    independent flow patterns (where per-entrypoint work dominates and
-    a method summary has nothing to amortize), taint here crosses one
-    ``depth``-method pipeline of ``stmts`` statements each — exactly
-    the workload per-method summaries (:mod:`repro.summaries`) exist
-    for.  Cold runs explore the pipeline once per rule; warm runs seal
-    it from the cache and skip that exploration entirely.
-
-    ``variant`` renames the servlets and their parameters while leaving
-    the library byte-identical — two variants model two applications
-    sharing a library, the cross-app reuse case: the library's
-    content-hashed summary keys match across variants, the servlets'
-    do not.
-    """
-    tag = f"V{variant}" if variant else ""
-    methods = []
-    for i in range(depth):
-        steps = "\n".join(
-            f'    String s{j + 1} = s{j} + "x{i}_{j}";'
-            for j in range(stmts))
-        nxt = (f"SharedPipe.stage{i + 1}(s{stmts})"
-               if i + 1 < depth else f"s{stmts}")
-        methods.append(f"""
-  static String stage{i}(String v) {{
-    String s0 = v.trim();
-{steps}
-    return {nxt};
-  }}""")
-    classes = [f"class SharedPipe {{{''.join(methods)}\n}}"]
-    planted: List[PlantedFlow] = []
-    for e in range(entrypoints):
-        servlet = f"Entry{tag}{e}"
-        if e % 2 == 0:
-            body = (f'    String v = SharedPipe.stage0('
-                    f'req.getParameter("q{tag}{e}"));\n'
-                    f"    resp.getWriter().println(v);")
-            planted.append(PlantedFlow("tp", "XSS",
-                                       f"{servlet}.doGet/2",
-                                       f"summary-{variant}"))
-        else:
-            body = (f'    String v = SharedPipe.stage0('
-                    f'req.getParameter("q{tag}{e}"));\n'
-                    f'    Connection c = '
-                    f'DriverManager.getConnection("jdbc:app");\n'
-                    f"    Statement st = c.createStatement();\n"
-                    f'    st.executeQuery("SELECT * WHERE u=\'" + v '
-                    f"+ \"'\");")
-            planted.append(PlantedFlow("tp", "SQLI",
-                                       f"{servlet}.doGet/2",
-                                       f"summary-{variant}"))
-        classes.append(f"""
-class {servlet} extends HttpServlet {{
-  void doGet(HttpServletRequest req, HttpServletResponse resp) {{
-{body}
-  }}
-}}""")
-    spec = AppSpec(name=f"summary-{variant}", seed=variant,
-                   cold_classes=0, lib_classes=0)
-    return GeneratedApp(spec=spec, sources=["\n".join(classes)],
-                        planted=planted)
 
 
 def main(argv: Optional[List[str]] = None) -> int:
@@ -795,7 +727,7 @@ def main(argv: Optional[List[str]] = None) -> int:
                     "truth, scaled by --scale.")
     parser.add_argument("--scale", type=int, default=1, metavar="N",
                         help="multiply every planted-pattern count by N "
-                             "(10-100 for the parallel-scaling corpus)")
+                             "(e.g. 10 or 30 for the scaled corpora)")
     parser.add_argument("--seed", type=int, default=7,
                         help="generator RNG seed (default 7)")
     parser.add_argument("--out", metavar="FILE",

@@ -43,7 +43,6 @@ CONFIG_FACTORIES = {
     "optimized": TAJConfig.hybrid_optimized,
     "cs": TAJConfig.cs,
     "ci": TAJConfig.ci,
-    "summary": TAJConfig.summary,
 }
 
 
@@ -57,19 +56,10 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--config", choices=sorted(CONFIG_FACTORIES),
                         default="optimized",
                         help="analysis configuration (default: optimized)")
-    parser.add_argument("--strategy", choices=("hybrid", "cs", "ci",
-                                               "summary"),
+    parser.add_argument("--strategy", choices=("hybrid", "cs", "ci"),
                         help="override the slicing strategy of the "
                              "chosen --config (e.g. run the optimized "
-                             "preset on the summary engine)")
-    parser.add_argument("--summary-cache", metavar="DIR",
-                        help="persistent per-method summary cache for "
-                             "the summary strategy: cold runs populate "
-                             "DIR, warm runs on the same or overlapping "
-                             "apps reuse it (implies --strategy "
-                             "summary; foreign/corrupt caches are "
-                             "detected and rebuilt, "
-                             "docs/performance.md)")
+                             "preset with CI slicing)")
     parser.add_argument("--rules", choices=("default", "extended"),
                         default="default",
                         help="security-rule set (extended adds open "
@@ -131,7 +121,7 @@ def build_parser() -> argparse.ArgumentParser:
                              "git itself)")
     parser.add_argument("--progress", action="store_true",
                         help="print a live heartbeat line (phase, "
-                             "worklist depth, rule/shard progress) to "
+                             "worklist depth, rule progress) to "
                              "stderr once per second")
     parser.add_argument("--max-cg-nodes", type=int, metavar="N",
                         help="override the call-graph node budget")
@@ -146,40 +136,6 @@ def build_parser() -> argparse.ArgumentParser:
                              "that fail to compile and walk the "
                              "degradation ladder on budget/deadline "
                              "trips instead of aborting")
-    parser.add_argument("--jobs", type=int, default=1, metavar="N",
-                        help="worker processes for the taint sweep "
-                             "(default 1 = serial; reports are "
-                             "identical for every value)")
-    parser.add_argument("--shard-grain", choices=("auto", "rule",
-                                                  "entrypoint"),
-                        default="auto",
-                        help="parallel shard granularity: 'auto' "
-                             "splits rules per entrypoint seed group "
-                             "when semantics-preserving, 'rule' keeps "
-                             "whole-rule shards, 'entrypoint' forces "
-                             "the fine grain (only with --jobs > 1)")
-    parser.add_argument("--checkpoint", metavar="DIR",
-                        help="journal completed shards of the parallel "
-                             "sweep under DIR; an interrupted run "
-                             "restarted with the same DIR re-executes "
-                             "only unfinished shards (--jobs > 1; "
-                             "foreign/corrupt checkpoints are detected "
-                             "and discarded, docs/robustness.md)")
-    parser.add_argument("--max-shard-retries", type=int, default=2,
-                        metavar="N",
-                        help="failed attempts a shard may accumulate "
-                             "before it is quarantined to a serial "
-                             "in-parent re-run (default 2)")
-    parser.add_argument("--max-pool-restarts", type=int, default=3,
-                        metavar="N",
-                        help="worker-pool rebuilds the run may spend on "
-                             "crashes before quarantining every pending "
-                             "shard (default 3)")
-    parser.add_argument("--hang-seconds", type=float, metavar="SECONDS",
-                        help="watchdog threshold: SIGKILL and retry a "
-                             "worker whose shard has been in flight "
-                             "this long (default: 4x the --deadline; "
-                             "no deadline = watchdog off)")
     parser.add_argument("--fault-plan", metavar="FILE",
                         help="inject the scripted fault plan (JSON list "
                              "of {seam, at, action, ...} objects, "
@@ -244,9 +200,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     descriptor = _load_descriptor(args.descriptor)
 
     config = CONFIG_FACTORIES[args.config]()
-    if args.summary_cache:
-        config = config.with_summary_cache(args.summary_cache)
-    elif args.strategy is not None and args.strategy != config.slicing:
+    if args.strategy is not None and args.strategy != config.slicing:
         from dataclasses import replace
         config = replace(config, slicing=args.strategy)
     overrides = {}
@@ -259,17 +213,6 @@ def main(argv: Optional[List[str]] = None) -> int:
     if args.deadline is not None or args.keep_going:
         config = config.with_resilience(deadline_seconds=args.deadline,
                                         resilient=args.keep_going)
-    if args.jobs != 1:
-        config = config.with_jobs(args.jobs,
-                                  shard_grain=args.shard_grain)
-    if args.checkpoint:
-        config = config.with_checkpoint(args.checkpoint)
-    if (args.max_shard_retries, args.max_pool_restarts,
-            args.hang_seconds) != (2, 3, None):
-        config = config.with_supervision(
-            max_shard_retries=args.max_shard_retries,
-            max_pool_restarts=args.max_pool_restarts,
-            hang_seconds=args.hang_seconds)
     if args.confirm:
         config = config.with_confirm(fuel=args.confirm_fuel,
                                      seed=args.confirm_seed)
@@ -335,7 +278,8 @@ def main(argv: Optional[List[str]] = None) -> int:
 
     if args.sarif:
         from .reporting import render_sarif
-        print(render_sarif(result.report, rules))
+        print(render_sarif(result.report, rules,
+                           completeness=result.completeness))
     elif args.json:
         payload = {
             "config": config.name,

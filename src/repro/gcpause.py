@@ -14,11 +14,6 @@ disables the collector, and the last one out restores the saved state.
 Nested pauses (``analyze_sources`` calls ``analyze_prepared``) and
 concurrent ones (two threads analyzing) are therefore safe, and a caller
 that disabled the collector itself keeps it disabled.
-
-Fork rule: a child forked during a pause inherits a disabled collector
-and the pause count of threads it does not have.  A long-lived forked
-worker must call :func:`reset_after_fork` first thing, or it never
-collects.
 """
 
 from __future__ import annotations
@@ -68,15 +63,3 @@ def collections_during_pause() -> int:
     the collector back on mid-pause."""
     with _lock:
         return _collection_count() - _collections_at_start if _depth else 0
-
-
-def reset_after_fork() -> None:
-    """In a forked child, drop the pauses inherited from the parent and
-    restore the collector state the outermost of them saved."""
-    global _lock, _depth
-    # The parent's lock may have been held by a thread the child lacks.
-    _lock = threading.Lock()
-    if _depth:
-        _depth = 0
-        if _was_enabled:
-            gc.enable()

@@ -16,9 +16,8 @@ sensitivity terminates even through recursive data structures.
 Contexts are **interned**: constructing a context with the same fields
 returns the same object, so contexts compare and hash *by identity* (the
 default ``object`` semantics) and the solver's dict operations never
-re-hash nested structures.  ``__reduce__`` re-interns on unpickling so
-``pickle``/``copy.deepcopy`` round-trips stay identity-correct.  Depths
-are precomputed at construction time.
+re-hash nested structures.  Depths are precomputed at construction
+time.
 """
 
 from __future__ import annotations
@@ -46,9 +45,6 @@ class Context:
 
     def depth(self) -> int:
         return self._depth
-
-    def __reduce__(self):
-        return (Context, ())
 
     def __str__(self) -> str:
         return "ε"
@@ -79,9 +75,6 @@ class ObjContext(Context):
             cls._interned[receiver] = self
         return self
 
-    def __reduce__(self):
-        return (ObjContext, (self.receiver,))
-
     def __str__(self) -> str:
         return f"obj[{self.receiver}]"
 
@@ -104,9 +97,6 @@ class CallSiteContext(Context):
             _set(self, "_depth", 1)
             cls._interned[key] = self
         return self
-
-    def __reduce__(self):
-        return (CallSiteContext, (self.caller, self.call_iid))
 
     def __str__(self) -> str:
         return f"cs[{self.caller}@{self.call_iid}]"

@@ -8,9 +8,8 @@ a method return value.
 Keys are **interned**: constructing a key with the same fields returns
 the same object, so keys compare and hash *by identity* (the default
 ``object`` semantics — no Python-level ``__hash__``/``__eq__`` runs on
-the solver's millions of dict probes).  ``__reduce__`` re-interns on
-unpickling, which keeps ``pickle``/``copy.deepcopy`` round-trips
-identity-correct.  All keys are immutable and carry ``__slots__``.
+the solver's millions of dict probes).  All keys are immutable and
+carry ``__slots__``.
 
 Interning also hands out **dense integer IDs**: every allocation site,
 every instance key, and every pointer key receives a contiguous
@@ -65,9 +64,6 @@ class AllocSite(_Interned):
             cls._interned[key] = self
         return self
 
-    def __reduce__(self):
-        return (AllocSite, (self.method, self.iid, self.class_name))
-
     def __str__(self) -> str:
         return f"{self.class_name}@{self.method}:{self.iid}"
 
@@ -106,9 +102,6 @@ class InstanceKey(_Interned):
 
     def with_context(self, context: Context) -> "InstanceKey":
         return InstanceKey(self.site, context)
-
-    def __reduce__(self):
-        return (InstanceKey, (self.site, self.context))
 
     def __str__(self) -> str:
         if self.context is EMPTY:
@@ -155,9 +148,6 @@ class LocalKey(PointerKey):
             cls._interned[key] = self
         return self
 
-    def __reduce__(self):
-        return (LocalKey, (self.method, self.context, self.var))
-
     def __str__(self) -> str:
         return f"{self.method}<{self.context}>::{self.var}"
 
@@ -181,9 +171,6 @@ class FieldKey(PointerKey):
             _set(self, "index", _pointer_index())
             cls._interned[key] = self
         return self
-
-    def __reduce__(self):
-        return (FieldKey, (self.instance, self.fld))
 
     def __str__(self) -> str:
         return f"{self.instance}.{self.fld}"
@@ -209,9 +196,6 @@ class StaticFieldKey(PointerKey):
             cls._interned[key] = self
         return self
 
-    def __reduce__(self):
-        return (StaticFieldKey, (self.class_name, self.fld))
-
     def __str__(self) -> str:
         return f"{self.class_name}.{self.fld}"
 
@@ -235,9 +219,6 @@ class ReturnKey(PointerKey):
             _set(self, "index", _pointer_index())
             cls._interned[key] = self
         return self
-
-    def __reduce__(self):
-        return (ReturnKey, (self.method, self.context))
 
     def __str__(self) -> str:
         return f"ret({self.method}<{self.context}>)"

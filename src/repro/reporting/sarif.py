@@ -4,7 +4,10 @@ tooling (code scanners, IDE plugins, GitHub code scanning) consumes.
 The mapping is straightforward: each security rule becomes a SARIF
 reporting rule; each grouped issue becomes a result whose location is
 the sink statement, with the source and the LCP (the remediation point,
-paper §5) attached as related locations.
+paper §5) attached as related locations.  Every log carries one
+invocation stating the run's completeness verdict: ``executionSuccessful``
+is true only for a ``complete`` run, so a partial run (or one that ended
+before reporting, and so has no results) never reads as a clean log.
 """
 
 from __future__ import annotations
@@ -12,6 +15,7 @@ from __future__ import annotations
 import json
 from typing import Dict, List, Optional
 
+from ..resilience import COMPLETE
 from ..taint.rules import RuleSet
 from .report import Issue, Report
 
@@ -58,13 +62,18 @@ def _result(issue: Issue) -> Dict:
     }
 
 
-def to_sarif(report: Report, rules: Optional[RuleSet] = None,
-             tool_version: str = "1.0.0") -> Dict:
-    """Convert a report to a SARIF log dictionary."""
+def to_sarif(report: Optional[Report], rules: Optional[RuleSet] = None,
+             tool_version: str = "1.0.0", *, completeness: str) -> Dict:
+    """Convert a run's report to a SARIF log dictionary.
+
+    ``report`` is ``None`` when the run ended before reporting; the log
+    then has no results.  ``completeness`` is the run's verdict
+    (``TAJResult.completeness``)."""
+    issues = report.issues if report is not None else []
     rule_descriptors: List[Dict] = []
     seen = set()
     candidates = list(rules) if rules is not None else []
-    reported = {issue.rule for issue in report.issues}
+    reported = {issue.rule for issue in issues}
     for rule in candidates:
         if rule.name in seen:
             continue
@@ -92,12 +101,17 @@ def to_sarif(report: Report, rules: Optional[RuleSet] = None,
                     "rules": rule_descriptors,
                 },
             },
-            "results": [_result(issue) for issue in report.issues],
+            "invocations": [{
+                "executionSuccessful": completeness == COMPLETE,
+                "properties": {"completeness": completeness},
+            }],
+            "results": [_result(issue) for issue in issues],
         }],
     }
 
 
-def render_sarif(report: Report, rules: Optional[RuleSet] = None,
-                 indent: int = 2) -> str:
+def render_sarif(report: Optional[Report], rules: Optional[RuleSet] = None,
+                 indent: int = 2, *, completeness: str) -> str:
     """The SARIF log as a JSON string."""
-    return json.dumps(to_sarif(report, rules), indent=indent)
+    return json.dumps(to_sarif(report, rules, completeness=completeness),
+                      indent=indent)

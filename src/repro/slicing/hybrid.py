@@ -42,9 +42,7 @@ class HybridSlicer(Slicer):
 
     # -- per-rule state (reset in slice_rule) --------------------------------
 
-    def slice_rule(self, rule: SecurityRule,
-                   seeds: Optional[List[SourceSeed]] = None
-                   ) -> List[TaintFlow]:
+    def slice_rule(self, rule: SecurityRule) -> List[TaintFlow]:
         adapter = RuleAdapter(self.sdg, rule)
         carriers = self.make_carrier_index(adapter)
         collector = FlowCollector(rule, self.budget)
@@ -62,10 +60,10 @@ class HybridSlicer(Slicer):
                 self._expand_store(tab, origin_id, hit, carriers,
                                    collector, sources, seeded_loads)
 
-        tab = self._make_tabulator(adapter, on_hit)
-        if seeds is None:
-            seeds = enumerate_sources(self.sdg, rule)
-        for seed in seeds:
+        tab = Tabulator(self.sdg, adapter, on_hit, meter=self.meter,
+                        skip_thread_edges=self.skip_thread_edges,
+                        resilience=self.resilience)
+        for seed in enumerate_sources(self.sdg, rule):
             sources[seed.origin_id] = seed.stmt.ref
             if seed.call_lhs:
                 tab.seed_origin(seed.origin_id, seed.stmt.ref.method,
@@ -75,14 +73,6 @@ class HybridSlicer(Slicer):
                                       seeded_loads)
         tab.run()
         return self._collect(collector)
-
-    def _make_tabulator(self, adapter: RuleAdapter, on_hit) -> Tabulator:
-        """Factory seam: the summary engine (:mod:`repro.summaries`)
-        substitutes a cache-sealing tabulator here; everything else in
-        the traversal is shared."""
-        return Tabulator(self.sdg, adapter, on_hit, meter=self.meter,
-                         skip_thread_edges=self.skip_thread_edges,
-                         resilience=self.resilience)
 
     # -- heap expansion ----------------------------------------------------------
 

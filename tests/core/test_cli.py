@@ -167,21 +167,3 @@ class S extends HttpServlet {
 }
 """)
     assert main([str(a), str(b)]) == 1
-
-
-def test_jobs_flag_produces_identical_reports(app_file, capsys):
-    code = main(["--json", app_file])
-    serial = json.loads(capsys.readouterr().out)
-    code_par = main(["--json", "--jobs", "4", app_file])
-    parallel = json.loads(capsys.readouterr().out)
-    assert code == code_par == 1
-    serial.pop("seconds")
-    parallel.pop("seconds")
-    assert parallel == serial
-
-
-def test_jobs_flag_text_report_identical(app_file, capsys):
-    main([app_file])
-    serial = capsys.readouterr().out
-    main(["--jobs", "3", app_file])
-    assert capsys.readouterr().out == serial

@@ -10,7 +10,7 @@ bare ValueError; there the oracle with that fix (``DecimalLexer``) is
 the reference.
 
 Inputs: the 63 programs of the corpus differential
-(``tests/property/test_parallel_differential.py``), the generator apps
+(``tests/property/test_seed_differential.py``), the generator apps
 at scale 1, 3, 10 and 30, the 22 Table-2 suite apps, the model texts
 the modeling passes parse (stdlib, entrypoint roots, EJB homes), the
 resilience tests' broken inputs, hand-written quirk cases, and every

@@ -1,7 +1,7 @@
-"""Corpus differential: the bitset kernel and the parallel sweep against
-their reference implementations, over the micro + securibench corpora.
+"""Corpus differential: the bitset kernel against the preserved seed
+solver, over the micro + securibench corpora.
 
-Three contracts, each on every corpus program:
+Two contracts, each on every corpus program:
 
 * **points-to** — the bitset-int kernel
   (:class:`repro.pointer.PointerAnalysis`) computes bit-for-bit the same
@@ -10,11 +10,7 @@ Three contracts, each on every corpus program:
 * **per-rule flows** — the full taint pipeline (SDG, direct edges, heap
   graph, hybrid slicing) run over either solver finds the identical
   per-rule flow sets, so the representation change never reaches a
-  report;
-* **jobs and shard invariance** — the persistent-pool sweep
-  (``jobs=4``) returns exactly the serial sweep's flows in the same
-  canonical order, at the default shard plan and at a deliberately
-  skewed chunk size (one seed chunk per rule).
+  report.
 
 The hypothesis-driven random-program differential lives in
 ``test_differential.py``; this file pins the fixed corpora the
@@ -61,11 +57,10 @@ def canonical_solution(analysis):
             for key, pts in analysis.iter_pts() if pts}
 
 
-def flows_by_rule(analysis, prepared, jobs=1):
+def flows_by_rule(analysis, prepared):
     sdg = NoHeapSDG(prepared.program, analysis.call_graph)
     engine = TaintEngine(sdg, DirectEdges(sdg, analysis),
-                         HeapGraph(analysis), default_rules(), Budget(),
-                         jobs=jobs)
+                         HeapGraph(analysis), default_rules(), Budget())
     result = engine.run()
     out = {}
     for flow in result.flows:
@@ -84,20 +79,3 @@ def test_bitset_kernel_and_flows_match_seed(name, source):
     assert flows_by_rule(optimized, prepared) == \
         flows_by_rule(seed, prepared), name
 
-
-@pytest.mark.parametrize("name,source", CORPUS, ids=CORPUS_IDS)
-def test_parallel_sweep_is_jobs_invariant(name, source):
-    prepared = prepare([source])
-    analysis = solve_with(PointerAnalysis, prepared)
-    sdg = NoHeapSDG(prepared.program, analysis.call_graph)
-    direct = DirectEdges(sdg, analysis)
-    heap = HeapGraph(analysis)
-    serial = TaintEngine(sdg, direct, heap, default_rules(),
-                         Budget()).run()
-    for shards_per_rule in (None, 1):
-        parallel = TaintEngine(sdg, direct, heap, default_rules(),
-                               Budget(), jobs=4,
-                               shards_per_rule=shards_per_rule).run()
-        assert [f.sort_key() for f in parallel.flows] == \
-            [f.sort_key() for f in serial.flows], (name, shards_per_rule)
-        assert parallel.completed_rules == serial.completed_rules, name

@@ -120,24 +120,21 @@ def test_fault_plan_unknown_action_exits_two(tmp_path, capsys):
     assert "invalid fault plan" in captured.err
 
 
-def test_fault_plan_crash_recovery_keeps_report_exit_code(tmp_path,
-                                                          capsys):
-    """A recovered worker crash reports exactly like the clean run:
-    exit 1 (issues found), identical stdout, no traceback."""
+@pytest.mark.parametrize("action", ["kill-worker", "hang-worker",
+                                    "corrupt-outcome"])
+def test_fault_plan_removed_process_action_exits_two(tmp_path, capsys,
+                                                     action):
+    """The process-crash actions went with the worker pool: a plan that
+    still names one is invalid, not silently ignored."""
     good = write(tmp_path, "good.jlang", GOOD)
-    two = write(tmp_path, "two.jlang",
-                GOOD.replace("class S", "class T"))
-    clean_code = main([good, two])
-    clean_out = capsys.readouterr().out
     plan = write(tmp_path, "plan.json",
                  json.dumps([{"seam": "worker.shard", "at": 0,
-                              "action": "kill-worker",
-                              "attempts": 1}]))
-    code = main(["--jobs", "2", "--fault-plan", plan, good, two])
+                              "action": action}]))
+    code = main(["--fault-plan", plan, good])
     captured = capsys.readouterr()
-    assert clean_code == 1 and code == 1
-    assert captured.out == clean_out
-    assert "Traceback" not in captured.err + captured.out
+    assert code == 2
+    assert "invalid fault plan" in captured.err
+    assert action in captured.err
 
 
 def test_non_decimal_digit_is_a_positioned_frontend_error(tmp_path, capsys):

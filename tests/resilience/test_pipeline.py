@@ -91,26 +91,6 @@ def test_cs_state_budget_walks_ladder_and_keeps_flows():
     assert result.metrics["counters"]["resilience.degradations"] >= 1
 
 
-def test_parallel_worker_walks_ladder_per_rule():
-    """With --jobs, a budget trip degrades the tripped worker's rule,
-    not the whole run — and the worker's degradation records are
-    replayed into the parent's completeness verdict."""
-    config = TAJConfig.cs(max_state_units=5).with_resilience(
-        resilient=True).with_jobs(2)
-    result = TAJ(config).analyze_sources([APP])
-    assert not result.failed
-    assert result.completeness == "partial-budget"
-    assert result.issues >= 1
-    rungs = [(d.trigger, d.fallback) for d in result.degradations]
-    assert ("budget", "hybrid") in rungs
-    # The serial ladder run must report the same issues.
-    serial = TAJ(TAJConfig.cs(max_state_units=5).with_resilience(
-        resilient=True)).analyze_sources([APP])
-    canon = lambda res: sorted((i.rule, i.source, i.sink)
-                               for i in res.report.issues)
-    assert canon(result) == canon(serial)
-
-
 def test_cs_state_budget_without_ladder_still_fails():
     """resilient=False preserves the paper's CS OOM reproduction."""
     config = TAJConfig.cs(max_state_units=5)

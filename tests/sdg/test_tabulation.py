@@ -1,6 +1,7 @@
 """RHS tabulation tests: context-sensitive reachability over the VFG."""
 
 from repro.sdg import RuleAdapter, Tabulator
+from repro.sdg.tabulation import Meta
 from repro.taint.rules import SecurityRule
 from tests.sdg.test_noheap import build
 
@@ -179,6 +180,14 @@ class Main {
 }""", seeds=[("Main.main/0", "v.1")])
     sinks = sink_hits(hits)
     assert sinks[0][1].meta.steps >= 3
+
+
+def test_meta_extend_preserves_transitions():
+    meta = Meta(3, None, 2)
+    longer = meta.extend(4)
+    assert longer.steps == 7
+    assert longer.transitions == 2
+    assert Meta(1).transitions == 0
 
 
 def test_origin_attribution_is_per_seed():
