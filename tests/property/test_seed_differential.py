@@ -14,42 +14,21 @@ Two contracts, each on every corpus program:
 
 The hypothesis-driven random-program differential lives in
 ``test_differential.py``; this file pins the fixed corpora the
-benchmarks (and the paper's evaluation) run on.
+benchmarks (and the paper's evaluation) run on.  The serial sweep's
+own corpus contracts live in ``test_serial_sweep.py``.
 """
 
 import pytest
 
 from repro.bounds import Budget
-from repro.bench.micro import MICRO_CASES, MOTIVATING
-from repro.bench.securibench import CASES
-from repro.modeling import default_natives, prepare
-from repro.pointer import (ChaoticOrder, ContextPolicy, PointerAnalysis,
-                           SeedPointerAnalysis)
+from repro.modeling import prepare
+from repro.pointer import PointerAnalysis, SeedPointerAnalysis
 from repro.pointer.heapgraph import HeapGraph
 from repro.sdg.hsdg import DirectEdges
 from repro.sdg.noheap import NoHeapSDG
 from repro.taint import TaintEngine, default_rules
 
-
-def corpus():
-    programs = [("micro:motivating", MOTIVATING)]
-    programs += [(f"micro:{name}", src)
-                 for name, (src, _) in MICRO_CASES.items()]
-    for cat, cases in CASES.items():
-        programs += [(f"securibench:{cat}:{name}", src)
-                     for name, (src, _) in cases.items()]
-    return programs
-
-
-CORPUS = corpus()
-CORPUS_IDS = [name for name, _ in CORPUS]
-
-
-def solve_with(cls, prepared):
-    analysis = cls(prepared.program, ContextPolicy(),
-                   natives=default_natives(), order=ChaoticOrder())
-    analysis.solve()
-    return analysis
+from .corpus import CORPUS, CORPUS_IDS, solve_with
 
 
 def canonical_solution(analysis):
