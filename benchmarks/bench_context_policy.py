@@ -7,7 +7,6 @@ benchmark rich in the corresponding patterns and shows the precision it
 buys (false positives reappear when an ingredient is removed).
 """
 
-from dataclasses import replace
 
 from repro.bench import score_run
 from repro.core import TAJ, TAJConfig

@@ -7,7 +7,6 @@ static analysis is scored against are dynamically realizable, and that
 sanitized plants never fire.
 """
 
-from repro.bench import generate_suite
 from repro.interp import run_dynamic
 
 # Small/medium apps keep the concrete runs fast; thread plants are

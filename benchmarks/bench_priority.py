@@ -6,7 +6,6 @@ larger number of taint vulnerabilities than chaotic iteration when TAJ
 runs in a constrained time or memory budget."
 """
 
-from dataclasses import replace
 
 from repro.bench import score_run
 from repro.core import TAJ, TAJConfig

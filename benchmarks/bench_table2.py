@@ -6,7 +6,7 @@ relative sizes at ~1:100 scale; this bench regenerates the table from
 the generated applications (class, method, and IR-instruction counts).
 """
 
-from repro.bench import compute_stats, format_table2, suite_specs
+from repro.bench import compute_stats, format_table2
 
 
 def test_table2_application_statistics(benchmark, suite_apps, capsys):

@@ -8,9 +8,9 @@ from dataclasses import dataclass, field, replace
 from typing import Dict, List, Optional
 
 from ..core import TAJ, TAJConfig
-from ..core.results import TAJResult
 from ..gcpause import gc_paused
-from ..modeling import PreparedProgram, prepare
+from ..modeling import prepare
+from ..resilience import PARTIAL_BUDGET
 from .generator import GeneratedApp
 from .oracle import Score, aggregate, score_run
 from .suite import FIGURE4_APPS, benign_lib_classes, generate_suite
@@ -147,12 +147,20 @@ def write_bench_json(path: str, payload: Dict) -> None:
 
 # -- rendering ----------------------------------------------------------------
 
+# Footnote for cells a §6 bound cut ("partial-budget" runs).
+_CUT_NOTE = "* partial-budget: a bound cut the run (see its degradations)"
+
+
+def _cut(rec: RunRecord, text: str) -> str:
+    return text + "*" if rec.completeness == PARTIAL_BUDGET else text
+
+
 def format_table3(results: SuiteResults,
                   configs: Optional[List[str]] = None) -> str:
     """The Table 3 analogue: issues + time per configuration per app.
 
     Failed runs (CS exceeding its memory-emulation budget) render as
-    "-", as in the paper's empty cells.
+    "-", as in the paper's empty cells; runs a bound cut are starred.
     """
     config_names = configs or [c.name for c in default_configs()]
     apps = sorted({rec.app for rec in results.records})
@@ -168,7 +176,8 @@ def format_table3(results: SuiteResults,
             if rec is None or rec.failed:
                 row += f"{'-':>16}{'-':>7}"
             else:
-                row += f"{rec.issues:>16}{rec.seconds:>7.2f}"
+                issues = _cut(rec, str(rec.issues))
+                row += f"{issues:>16}{rec.seconds:>7.2f}"
         lines.append(row)
     lines.append("-" * len(header))
     summary = f"{'mean time':<14}"
@@ -178,7 +187,7 @@ def format_table3(results: SuiteResults,
         mean = sum(r.seconds for r in recs) / len(recs) if recs else 0.0
         summary += f"{'':>16}{mean:>7.2f}"
     lines.append(summary)
-    return "\n".join(lines)
+    return _footnoted(lines, results, apps, config_names)
 
 
 def format_figure4(results: SuiteResults,
@@ -206,7 +215,7 @@ def format_figure4(results: SuiteResults,
                 row += f"{'(out of budget)':>22}"
             else:
                 s = rec.score
-                row += f"{f'{s.tp}/{s.fp}/{s.fn}':>22}"
+                row += f"{_cut(rec, f'{s.tp}/{s.fp}/{s.fn}'):>22}"
         lines.append(row)
     lines.append("-" * len(sub))
     acc = f"{'accuracy':<14}"
@@ -216,4 +225,12 @@ def format_figure4(results: SuiteResults,
         agg = aggregate(scores)
         acc += f"{agg['accuracy']:>22.2f}"
     lines.append(acc)
+    return _footnoted(lines, results, apps, config_names)
+
+
+def _footnoted(lines: List[str], results: SuiteResults, apps: List[str],
+               configs: List[str]) -> str:
+    if any(rec.completeness == PARTIAL_BUDGET for rec in results.records
+           if rec.app in apps and rec.config in configs):
+        lines.append(_CUT_NOTE)
     return "\n".join(lines)

@@ -139,7 +139,10 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--fault-plan", metavar="FILE",
                         help="inject the scripted fault plan (JSON list "
                              "of {seam, at, action, ...} objects, "
-                             "docs/robustness.md) into the run; exit "
+                             "docs/robustness.md) into the run; a plan "
+                             "naming an unknown seam, action or key, or "
+                             "a trip-deadline fault without --deadline, "
+                             "exits 2; otherwise exit "
                              "codes report the outcome as usual: 0 = "
                              "complete and clean, 1 = issues found or a "
                              "partial-* verdict (an absorbed fault), "
@@ -224,6 +227,7 @@ def main(argv: Optional[List[str]] = None) -> int:
         try:
             with open(args.fault_plan, encoding="utf-8") as handle:
                 plan = FaultPlan.from_json(handle.read())
+            plan.check_deadline(config.deadline_seconds is not None)
         except (OSError, ValueError, KeyError, TypeError) as exc:
             print(f"invalid fault plan {args.fault_plan}: {exc}",
                   file=sys.stderr)
@@ -287,7 +291,6 @@ def main(argv: Optional[List[str]] = None) -> int:
             "raw_flows": result.raw_flows,
             "call_graph_nodes": result.cg_nodes,
             "failed": result.failed,
-            "truncated": result.truncated,
             "completeness": result.completeness,
             "seconds": round(result.times.total, 4),
         }
@@ -333,9 +336,6 @@ def main(argv: Optional[List[str]] = None) -> int:
                       f"{verdict.verdict} ({detail})")
         if result.failed:
             print(f"\nanalysis failed: {result.failure}")
-        elif result.truncated:
-            print("\nnote: a bound truncated the analysis "
-                  "(results may be incomplete)")
         if args.stats:
             print("\nsolver statistics:")
             for name, value in result.solver_stats().items():
@@ -370,7 +370,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     # budget aborted it); 1 = issues found, or the run was only partial
     # (a clean bill of health from a degraded run is not trustworthy);
     # 0 = complete run, no issues.
-    if result.failed or result.completeness == "failed":
+    if result.completeness == "failed":
         return 2
     if result.issues or result.completeness != "complete":
         return 1

@@ -7,7 +7,7 @@ from typing import Dict, List, Optional
 
 from ..confirm.verdicts import ConfirmationResult
 from ..reporting import Report
-from ..resilience import COMPLETE, Degradation, Diagnostic
+from ..resilience import COMPLETE, FAILED, Degradation, Diagnostic
 from ..taint.flows import TaintFlow
 
 # Legacy solver-stat keys, used when no metrics snapshot was recorded
@@ -50,9 +50,6 @@ class TAJResult:
     times: PhaseTimes = field(default_factory=PhaseTimes)
     cg_nodes: int = 0
     cg_edges: int = 0
-    failed: bool = False          # hard budget failure (paper: CS OOM)
-    failure: Optional[str] = None
-    truncated: bool = False       # a soft bound trimmed the analysis
     # Counters and timings merged from every stage: modeling stats, the
     # solver's kernel counters (propagations, cycles_collapsed, ...) and
     # per-phase wall times (time_constraint_adding, ...), taint bounds.
@@ -64,11 +61,12 @@ class TAJResult:
     # The flow-provenance audit payload (empty unless audit mode was
     # enabled): per-flow witness chains + per-rule consultations.
     provenance: Dict[str, object] = field(default_factory=dict)
-    # Resilience record (repro.resilience, docs/robustness.md):
-    # ``completeness`` summarizes whether these numbers came from a
-    # complete run ("complete") or a degraded one ("partial-budget" /
-    # "partial-deadline" / "partial-fault" / "failed"); each rung
-    # descended is a Degradation, each absorbed failure a Diagnostic.
+    # The run's verdict, folded from its ResilienceContext
+    # (docs/robustness.md): ``completeness`` says whether these numbers
+    # came from a complete run ("complete") or a degraded one
+    # ("partial-budget" / "partial-deadline" / "partial-fault" /
+    # "failed"); each bound cut or rung descended is a Degradation,
+    # each absorbed failure a Diagnostic.
     completeness: str = COMPLETE
     degradations: List[Degradation] = field(default_factory=list)
     diagnostics: List[Diagnostic] = field(default_factory=list)
@@ -105,6 +103,22 @@ class TAJResult:
             return out
         return {k: self.stats[k] for k in _SOLVER_STAT_KEYS
                 if k in self.stats}
+
+    @property
+    def failed(self) -> bool:
+        """The run failed (paper: CS out of memory; or an essential
+        phase died)."""
+        return self.completeness == FAILED
+
+    @property
+    def failure(self) -> Optional[str]:
+        """What failed the run: the last diagnostic of an essential
+        phase (reporting and confirmation only ever absorb)."""
+        if self.failed:
+            for diag in reversed(self.diagnostics):
+                if diag.phase not in ("reporting", "confirm"):
+                    return f"{diag.phase}: {diag.message}"
+        return None
 
     @property
     def issues(self) -> int:

@@ -17,11 +17,13 @@ one, each call gets a private bundle whose registry snapshot lands in
 Resilience (``docs/robustness.md``): every phase is guarded by the
 run's :class:`~repro.resilience.ResilienceContext`, built from the
 config's ``deadline_seconds`` / ``resilient`` knobs plus an optional
-:class:`~repro.resilience.FaultPlan`.  When nothing is armed the
-context is inert and the legacy contract holds — exceptions propagate.
-When armed, a phase failure is folded into the returned
-:class:`TAJResult` instead: structured diagnostics, recorded
-degradations, and a ``completeness`` verdict.
+:class:`~repro.resilience.FaultPlan`.  The context is the one record of
+what the run covered: every bound that cuts work (call-graph budget,
+heap transitions, nested depth) and every failure lands there, and
+:meth:`TAJ._finalize` folds it into the returned :class:`TAJResult` as
+diagnostics, degradations and the ``completeness`` verdict.  When
+nothing is armed, unexpected exceptions propagate; when armed, a phase
+failure is folded into the verdict instead.
 
 Typical use::
 
@@ -37,19 +39,18 @@ from __future__ import annotations
 
 from typing import Dict, List, Optional
 
-from ..bounds import Budget
 from ..callgraph import PriorityOrder
 from ..confirm.oracle import ReplayOracle
 from ..gcpause import collections_during_pause, gc_paused
-from ..modeling import (COLLECTION_CLASSES, FACTORY_METHODS, ModelOptions,
+from ..modeling import (COLLECTION_CLASSES, FACTORY_METHODS,
                         PreparedProgram, default_natives, prepare)
 from ..obs import Observability
 from ..pointer import (ChaoticOrder, ContextPolicy, PointerAnalysis,
                        PolicyConfig)
 from ..pointer.heapgraph import HeapGraph
 from ..reporting import build_report
-from ..resilience import (COMPLETE, FAILED, Deadline, DeadlineExceeded,
-                          FaultPlan, ResilienceContext)
+from ..resilience import (Deadline, DeadlineExceeded, FaultPlan,
+                          ResilienceContext)
 from ..sdg.hsdg import DirectEdges
 from ..sdg.noheap import NoHeapSDG
 from ..slicing.cs import CSExtendedSDG
@@ -172,12 +173,14 @@ class TAJ:
         obs.sample_memory()
         result.cg_nodes = analysis.call_graph.node_count()
         result.cg_edges = analysis.call_graph.edge_count()
-        result.truncated = analysis.truncated
         if analysis.deadline_exceeded:
             # The solver stopped on the wall clock and kept a partial
             # call graph — the deadline analogue of the node budget.
             res.degrade("pointer_analysis", "deadline",
                         "truncate-callgraph")
+        elif analysis.truncated:
+            res.degrade("pointer_analysis", "budget", "truncate-callgraph",
+                        f"max_cg_nodes={config.budget.max_cg_nodes}")
 
         # ---- stage 2: dependence graphs + taint tracking ---------------------
         try:
@@ -214,9 +217,9 @@ class TAJ:
                 engine = TaintEngine(sdg, direct, heap_graph, self.rules,
                                      config.budget,
                                      strategy=config.slicing, obs=obs,
-                                     resilience=armed)
+                                     resilience=res)
                 taint = engine.run()
-                span.set(flows=len(taint.flows), failed=taint.failed)
+                span.set(flows=len(taint.flows))
         except Exception as exc:
             if armed is None:
                 raise
@@ -227,9 +230,6 @@ class TAJ:
         obs.sample_memory()
 
         result.flows = taint.flows
-        result.failed = taint.failed
-        result.failure = taint.failure
-        result.truncated = result.truncated or taint.truncated
         result.stats = dict(prepared.stats)
         result.stats.update(analysis.stats)
         for phase, seconds in analysis.phase_seconds.items():
@@ -318,17 +318,7 @@ class TAJ:
         out the observability bundle (every exit path funnels here)."""
         result.degradations = list(res.degradations)
         result.diagnostics = list(res.diagnostics)
-        if res.failed_phase is not None:
-            result.failed = True
-            if result.failure is None:
-                last = result.diagnostics[-1]
-                result.failure = f"{res.failed_phase}: {last.message}"
-        completeness = res.completeness()
-        if result.failed and completeness == COMPLETE:
-            # A legacy budget failure with no resilience record (the
-            # paper's CS OOM, resilience off) is still not "complete".
-            completeness = FAILED
-        result.completeness = completeness
+        result.completeness = res.completeness()
         metrics = obs.metrics
         if result.degradations:
             metrics.inc("resilience.degradations",

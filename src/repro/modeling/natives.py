@@ -92,16 +92,6 @@ def returns_arg(index: int) -> Handler:
     return handler
 
 
-def returns_receiver() -> Handler:
-    def handler(solver, caller, call, callee, receiver) -> None:
-        if call.lhs and receiver is not None:
-            solver.add_pts(
-                solver.make_local(caller.method, caller.context, call.lhs),
-                {receiver})
-
-    return handler
-
-
 def dispatches_run_on_receiver() -> Handler:
     """``Thread.start`` → virtual dispatch to ``receiver.run()``."""
 

@@ -33,7 +33,6 @@ from __future__ import annotations
 import signal
 import sys
 import threading
-import time
 from typing import Dict, List, Optional, Tuple
 
 # Sampling interval default: 4 ms — coarse enough to stay far below 1%

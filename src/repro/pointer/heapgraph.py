@@ -17,9 +17,9 @@ taint pipeline over both kernels.
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Optional, Set
+from typing import Dict, Iterable, List, Optional, Set, Tuple
 
-from .keys import FieldKey, InstanceKey, decode_instance_bits
+from .keys import FieldKey, decode_instance_bits
 
 # The seed baseline uses its own FieldKey dataclass; both families are
 # recognized structurally (an ``instance`` + ``fld`` pair).
@@ -80,9 +80,6 @@ class HeapGraph:
             bits ^= low
         return out
 
-    def field_keys(self, instance: object) -> List[object]:
-        return self._fields_of.get(instance, [])
-
     def successors_bits(self, instance: object) -> int:
         """Bitset of the objects reachable through exactly one field
         dereference."""
@@ -97,14 +94,17 @@ class HeapGraph:
         return set(self._decode(self.successors_bits(instance)))
 
     def reachable(self, roots: Iterable[object],
-                  max_depth: int = None) -> Set[object]:
-        """Objects reachable from ``roots`` (roots included).
+                  max_depth: Optional[int] = None
+                  ) -> Tuple[Set[object], bool]:
+        """Objects reachable from ``roots`` (roots included), and
+        whether ``max_depth`` cut the sweep short.
 
         ``max_depth`` bounds the number of field dereferences, per the
         nested-taint bound of §6.2.3; ``None`` means unbounded.  The
         sweep is a level-order BFS whose frontier and visited set are
         bitsets: each level costs one OR per frontier object plus one
-        ``new & ~seen`` mask.
+        ``new & ~seen`` mask.  The sweep is cut when the level past the
+        bound still holds unvisited objects.
         """
         bit_of = self._bit_of
         frontier = list(roots)
@@ -113,15 +113,17 @@ class HeapGraph:
             seen |= bit_of(root)
         out: Set[object] = set(frontier)
         depth = 0
-        while frontier and (max_depth is None or depth < max_depth):
+        while frontier:
             new_bits = 0
             for ikey in frontier:
                 new_bits |= self.successors_bits(ikey)
             new_bits &= ~seen
             if not new_bits:
                 break
+            if depth == max_depth:
+                return out, True
             seen |= new_bits
             frontier = self._decode(new_bits)
             out.update(frontier)
             depth += 1
-        return out
+        return out, False

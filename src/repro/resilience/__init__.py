@@ -33,14 +33,14 @@ from .context import (COMPLETE, FAILED, LADDER, PARTIAL_BUDGET,
 from .deadline import Deadline, DeadlineExceeded
 from .diagnostics import Diagnostic, DiagnosticsCollector, \
     classify_exception
-from .faults import (ACTIONS, EXCEPTIONS, Fault, FaultInjector, FaultPlan,
-                     InjectedFault)
+from .faults import (ACTIONS, EXCEPTIONS, SEAMS, Fault, FaultInjector,
+                     FaultPlan, InjectedFault)
 
 __all__ = [
     "ACTIONS", "COMPLETE", "Deadline", "DeadlineExceeded", "Degradation",
     "Diagnostic", "DiagnosticsCollector", "EXCEPTIONS", "FAILED", "Fault",
     "FaultInjector", "FaultPlan", "InjectedFault", "LADDER",
     "PARTIAL_BUDGET", "PARTIAL_DEADLINE", "PARTIAL_FAULT",
-    "ResilienceContext", "classify_exception", "next_strategy",
+    "ResilienceContext", "SEAMS", "classify_exception", "next_strategy",
     "trigger_of",
 ]

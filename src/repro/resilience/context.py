@@ -26,7 +26,7 @@ reporting where the exact CS configuration aborts out-of-memory.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Optional
 
 from ..bounds import BudgetExhausted
@@ -85,6 +85,8 @@ class ResilienceContext:
                  faults: Optional[FaultPlan] = None,
                  quarantine: bool = False,
                  ladder: bool = False) -> None:
+        if faults:
+            faults.check_deadline(deadline is not None)
         self.deadline = deadline
         self.injector = FaultInjector(faults) if faults else None
         # Quarantine: skip (and diagnose) source units that fail the

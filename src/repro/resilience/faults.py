@@ -16,6 +16,7 @@ seam                      fired
 ``slicing.cs``            once per rule attempted with the CS strategy
 ``slicing.ci``            once per rule attempted with the CI strategy
 ``reporting.build``       once, before §5 report construction
+``confirm.replay``        once, before dynamic confirmation
 ========================  ====================================================
 
 A :class:`FaultPlan` scripts faults against those seams: *"raise
@@ -41,6 +42,9 @@ from ..bounds import BudgetExhausted
 from ..lang.errors import SourceError
 from .deadline import Deadline, DeadlineExceeded
 
+SEAMS = ("frontend.source", "modeling.pass", "pointer.solve", "sdg.build",
+         "tabulation.step", "ci.step", "slicing.hybrid", "slicing.cs",
+         "slicing.ci", "reporting.build", "confirm.replay")
 ACTIONS = ("raise", "trip-deadline", "corrupt")
 EXCEPTIONS = ("fault", "budget", "deadline", "source")
 
@@ -74,6 +78,8 @@ class Fault:
             raise ValueError(f"unknown fault action {self.action!r}")
         if self.exception not in EXCEPTIONS:
             raise ValueError(f"unknown fault exception {self.exception!r}")
+        if self.seam not in SEAMS:
+            raise ValueError(f"unknown fault seam {self.seam!r}")
 
     def to_dict(self) -> Dict[str, object]:
         return {"seam": self.seam, "at": self.at, "action": self.action,
@@ -81,6 +87,10 @@ class Fault:
 
     @staticmethod
     def from_dict(data: Dict[str, object]) -> "Fault":
+        unknown = set(data) - {"seam", "at", "action", "exception",
+                               "message"}
+        if unknown:
+            raise ValueError(f"unknown fault keys {sorted(unknown)}")
         return Fault(seam=str(data["seam"]), at=int(data.get("at", 0)),
                      action=str(data.get("action", "raise")),
                      exception=str(data.get("exception", "fault")),
@@ -120,6 +130,14 @@ class FaultPlan:
 
     def __bool__(self) -> bool:
         return bool(self.faults)
+
+    def check_deadline(self, armed: bool) -> None:
+        """Reject the plan if it holds a ``trip-deadline`` fault but no
+        deadline is ``armed``: that fault could never fire."""
+        if not armed and any(f.action == "trip-deadline"
+                             for f in self.faults):
+            raise ValueError("a trip-deadline fault needs a deadline "
+                             "(--deadline / deadline_seconds)")
 
 
 class FaultInjector:

@@ -23,7 +23,6 @@ from __future__ import annotations
 from typing import Dict, FrozenSet, List, Optional, Tuple
 
 from ..pointer.keys import InstanceKey
-from .nodes import StmtRef
 from .noheap import ANY_FIELD, LoadSite, NoHeapSDG, StoreSite
 
 
@@ -114,10 +113,4 @@ class DirectEdges:
                 continue
             if base_pts & self.points_to(load.stmt.method, load.base):
                 out.append(load)
-        return out
-
-    def all_store_sites(self) -> List[StoreSite]:
-        out: List[StoreSite] = []
-        for sites in self.sdg.stores_by_field.values():
-            out.extend(sites)
         return out

@@ -17,9 +17,9 @@ Run per source: the traversal is a simple BFS and attribution matters.
 from __future__ import annotations
 
 from collections import deque
-from typing import Deque, Dict, List, Set, Tuple
+from typing import Deque, Dict, List, Tuple
 
-from ..sdg.nodes import Fact, RET, Stmt, StmtRef
+from ..sdg.nodes import Fact, RET
 from ..sdg.tabulation import Meta, RuleAdapter
 from ..taint.flows import TaintFlow
 from ..taint.rules import SecurityRule

@@ -35,7 +35,7 @@ from typing import Dict, List, Optional, Set, Tuple
 from ..bounds import StateMeter
 from ..callgraph.graph import CallGraph
 from ..ir import Program
-from ..sdg.nodes import Fact, Stmt, StmtRef
+from ..sdg.nodes import Fact, StmtRef
 from ..sdg.noheap import ANY_FIELD, CallSite, LocalEdge, NoHeapSDG
 from ..sdg.tabulation import Hit, Meta, RuleAdapter, Tabulator
 from ..taint.flows import TaintFlow

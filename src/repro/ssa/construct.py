@@ -13,7 +13,7 @@ the local data-dependence edges of the no-heap SDG a pure def-use lookup.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Set, Tuple
+from typing import Dict, List, Set, Tuple
 
 from ..ir import Instruction, Method, Phi, Var
 from .dominance import DominatorTree
@@ -25,18 +25,6 @@ class SSAInfo:
 
     def_site: Dict[Var, Instruction] = field(default_factory=dict)
     uses: Dict[Var, List[Instruction]] = field(default_factory=dict)
-
-    def users_of(self, var: Var) -> List[Instruction]:
-        return self.uses.get(var, [])
-
-
-def _original(name: Var) -> Var:
-    """Strip an SSA version suffix."""
-    if "." in name:
-        base, _, ver = name.rpartition(".")
-        if ver.isdigit():
-            return base
-    return name
 
 
 def to_ssa(method: Method) -> SSAInfo:

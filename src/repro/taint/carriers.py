@@ -36,6 +36,9 @@ class CarrierIndex:
         self.heap_graph = heap_graph
         self.adapter = adapter
         self.max_nested_depth = max_nested_depth
+        # Set when the nested-depth bound left some sink's carriers
+        # unsearched (the §6.2.3 cut the taint engine records).
+        self.truncated = False
         self._by_ikey: Dict[InstanceKey, List[Tuple[CallSite, str]]] = {}
         self._build()
 
@@ -52,8 +55,9 @@ class CarrierIndex:
                                                        arg)
                 if not roots:
                     continue
-                reachable = self.heap_graph.reachable(
+                reachable, cut = self.heap_graph.reachable(
                     roots, self.max_nested_depth)
+                self.truncated = self.truncated or cut
                 for ikey in reachable:
                     self._by_ikey.setdefault(ikey, []).append(
                         (site, sink_display))

@@ -1,16 +1,19 @@
 """The taint engine: runs every security rule through a slicing strategy.
 
-Resilience (``repro.resilience``): when the engine is given a
-:class:`~repro.resilience.ResilienceContext`, each rule is sliced behind
-a cooperative seam check (``slicing.<strategy>``), and a
-:class:`~repro.bounds.BudgetExhausted` or
-:class:`~repro.resilience.DeadlineExceeded` raised mid-sweep walks the
-degradation ladder (cs → hybrid → ci) instead of discarding the run:
-flows from completed rules are kept, the tripped rule is re-sliced with
-the cheaper strategy, and each step is recorded as a
-:class:`~repro.resilience.Degradation`.  Without a context (or with the
-ladder disabled) a budget trip is the paper's CS out-of-memory failure:
-the run is marked failed — but flows from rules that completed are still
+Resilience (``repro.resilience``): the engine records what its sweep
+covered on the run's :class:`~repro.resilience.ResilienceContext` (a
+private inert one when none is given).  A slice cut by the
+heap-transition bound records ``truncate-slice``, a carrier search cut
+by the nested-depth bound ``truncate-carriers``.  When the context is
+armed, each rule is sliced behind a cooperative seam check
+(``slicing.<strategy>``), and a :class:`~repro.bounds.BudgetExhausted`
+or :class:`~repro.resilience.DeadlineExceeded` raised mid-sweep walks
+the degradation ladder (cs → hybrid → ci) instead of discarding the
+run: flows from completed rules are kept, the tripped rule is re-sliced
+with the cheaper strategy, and each step is recorded as a
+:class:`~repro.resilience.Degradation`.  With the ladder disabled a
+budget trip is the paper's CS out-of-memory failure: the context marks
+the run failed — but flows from rules that completed are still
 reported, never wiped.
 
 The sweep is serial and rule-ordered; its flows leave in
@@ -26,8 +29,8 @@ from typing import Dict, List, Optional, Tuple
 from ..bounds import Budget, BudgetExhausted, StateMeter
 from ..obs import DISABLED
 from ..pointer.heapgraph import HeapGraph
-from ..resilience import (Degradation, DeadlineExceeded, next_strategy,
-                          trigger_of)
+from ..resilience import (DeadlineExceeded, ResilienceContext,
+                          next_strategy, trigger_of)
 from ..sdg.hsdg import DirectEdges
 from ..sdg.noheap import NoHeapSDG
 from ..slicing import CISlicer, CSSlicer, HybridSlicer, Slicer
@@ -46,25 +49,13 @@ class TaintResult:
     """
 
     flows: List[TaintFlow] = field(default_factory=list)
-    failed: bool = False              # hard budget failure (CS "OOM")
-    failure: Optional[str] = None
-    truncated: bool = False           # a soft bound trimmed the slice
     suppressed_by_length: int = 0
     state_units: int = 0              # abstract memory consumed (CS)
-    # Degradation-ladder steps taken during the sweep (also recorded on
-    # the ResilienceContext, and from there on TAJResult).
-    degradations: List[Degradation] = field(default_factory=list)
     # Rules whose slice ran to completion (under whichever strategy was
     # current at the time); rules missing from this list were cut short.
     completed_rules: List[str] = field(default_factory=list)
     # Strategy in effect when the sweep ended (after any fallbacks).
     final_strategy: Optional[str] = None
-
-    def by_rule(self) -> Dict[str, List[TaintFlow]]:
-        out: Dict[str, List[TaintFlow]] = {}
-        for flow in self.flows:
-            out.setdefault(flow.rule, []).append(flow)
-        return out
 
 
 def make_slicer(strategy: str, sdg: NoHeapSDG, direct: DirectEdges,
@@ -101,7 +92,11 @@ class TaintEngine:
         self.budget = budget
         self.strategy = strategy
         self.obs = DISABLED if obs is None else obs
-        self.resilience = resilience
+        # The run's coverage record; the seams (the per-rule check and
+        # the slicers' hot loops) see it only when something is armed.
+        self.resilience = ResilienceContext() if resilience is None \
+            else resilience
+        self.armed = self.resilience if self.resilience.active else None
         # Rule-name → CarrierIndex, shared across every slicer this
         # engine creates: the index is a whole-SDG scan, fixed per
         # (rule, nested-depth bound), so a ladder fallback reuses it.
@@ -113,7 +108,7 @@ class TaintEngine:
               meter: Optional[StateMeter]) -> Slicer:
         slicer = make_slicer(strategy, self.sdg, self.direct,
                              self.heap_graph, self.budget, meter,
-                             resilience=self.resilience,
+                             resilience=self.armed,
                              carrier_cache=self._carrier_cache)
         modref = getattr(self.sdg, "modref", None)
         if strategy == "cs" and meter is not None and modref is not None:
@@ -123,7 +118,7 @@ class TaintEngine:
             meter.charge(sum(len(v) for v in modref.values()))
         return slicer
 
-    def _recover(self, result: TaintResult, strategy: str,
+    def _recover(self, strategy: str,
                  exc: Exception) -> Tuple[str, Optional[Slicer]]:
         """One step of the degradation ladder, or abort the sweep.
 
@@ -131,22 +126,14 @@ class TaintEngine:
         sweep stops — flows collected so far are kept.
         """
         res = self.resilience
-        fallback = None
-        if res is not None and res.ladder:
-            fallback = next_strategy(strategy)
-        trigger = trigger_of(exc)
+        fallback = next_strategy(strategy) if res.ladder else None
+        res.degrade("taint", trigger_of(exc), fallback or "abort", str(exc))
         if fallback is None:
-            if res is not None and res.active:
-                result.degradations.append(
-                    res.degrade("taint", trigger, "abort", str(exc)))
             if not isinstance(exc, DeadlineExceeded):
                 # The paper's CS OOM: a budget trip with no rung left.
                 # A deadline abort is a *partial* result, not a failure.
-                result.failed = True
-                result.failure = str(exc)
+                res.fail("taint", exc)
             return strategy, None
-        result.degradations.append(
-            res.degrade("taint", trigger, fallback, str(exc)))
         if strategy == "cs" and hasattr(self.sdg, "disable_channels"):
             # Fallback slicers see a plain no-heap SDG: heap channels
             # (and their per-call threading) are a CS-only construct.
@@ -163,15 +150,18 @@ class TaintEngine:
         tracer = obs.tracer
         audit = obs.audit
         res = self.resilience
+        armed = self.armed
+        degradations_before = len(res.degradations)
         result = TaintResult()
         strategy = self.strategy
         meter = StateMeter(self.budget.max_state_units)
+        truncated = False
         try:
             slicer: Optional[Slicer] = self._make(strategy, meter)
         except (BudgetExhausted, DeadlineExceeded) as exc:
             # CS's upfront channel charge can exhaust the budget before
             # the first rule runs.
-            strategy, slicer = self._recover(result, strategy, exc)
+            strategy, slicer = self._recover(strategy, exc)
         progress = getattr(obs, "progress", None)
         index = 0
         while slicer is not None and index < len(rules):
@@ -180,19 +170,19 @@ class TaintEngine:
                 progress.update(rule=rule.name,
                                 rules=f"{index + 1}/{len(rules)}")
             try:
-                if res is not None:
-                    res.check(f"slicing.{strategy}", phase="taint")
+                if armed is not None:
+                    armed.check(f"slicing.{strategy}", phase="taint")
                 with tracer.span("taint.rule", rule=rule.name,
                                  strategy=strategy) as span:
                     flows = slicer.slice_rule(rule)
                     span.set(flows=len(flows))
             except (BudgetExhausted, DeadlineExceeded) as exc:
-                result.truncated = result.truncated or slicer.truncated
+                truncated = truncated or slicer.truncated
                 result.suppressed_by_length += slicer.suppressed_by_length
-                strategy, slicer = self._recover(result, strategy, exc)
+                strategy, slicer = self._recover(strategy, exc)
                 continue  # retry the same rule on the fallback rung
             except Exception as exc:
-                if res is None or not res.active:
+                if armed is None:
                     raise
                 # Quarantine the rule: record a diagnostic, keep going.
                 res.diagnostics.absorb("taint", exc, rule=rule.name)
@@ -212,8 +202,18 @@ class TaintEngine:
             result.completed_rules.append(rule.name)
             index += 1
         if slicer is not None:
-            result.truncated = result.truncated or slicer.truncated
+            truncated = truncated or slicer.truncated
             result.suppressed_by_length += slicer.suppressed_by_length
+        # The §6.2.1 and §6.2.3 bounds cut coverage; the §6.2.2
+        # flow-length bound only filters flows already found.
+        if truncated:
+            res.degrade("taint", "budget", "truncate-slice",
+                        f"max_heap_transitions="
+                        f"{self.budget.max_heap_transitions}")
+        if any(carriers.truncated
+               for carriers in self._carrier_cache.values()):
+            res.degrade("taint", "budget", "truncate-carriers",
+                        f"max_nested_depth={self.budget.max_nested_depth}")
         result.state_units = meter.used
         result.final_strategy = strategy
         result.flows = canonical_flows(result.flows)
@@ -226,8 +226,9 @@ class TaintEngine:
         metrics.inc("taint.suppressed_by_length",
                     result.suppressed_by_length)
         metrics.gauge("taint.state_units", result.state_units)
-        if result.degradations:
-            metrics.inc("taint.degradations", len(result.degradations))
-        if result.failed:
+        degraded = len(res.degradations) - degradations_before
+        if degraded:
+            metrics.inc("taint.degradations", degraded)
+        if res.failed_phase == "taint":
             metrics.inc("taint.budget_failures")
         return result

@@ -17,7 +17,8 @@ def make_issue(rule, sink_method_qname):
 
 def make_result(issues, failed=False, config="test"):
     report = Report(issues=issues, raw_flow_count=len(issues))
-    result = TAJResult(config_name=config, report=report, failed=failed)
+    result = TAJResult(config_name=config, report=report,
+                       completeness="failed" if failed else "complete")
     return result
 
 

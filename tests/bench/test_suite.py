@@ -101,6 +101,31 @@ def test_table_renderers_produce_rows(small_results):
     assert "accuracy" in f4
 
 
+def test_tables_star_cells_a_bound_cut():
+    from repro.bench import RunRecord, Score, SuiteResults
+
+    def record(config, completeness):
+        return RunRecord(app="X", config=config, issues=4, seconds=0.5,
+                         failed=completeness == "failed", cg_nodes=9,
+                         score=Score(app="X", config=config, tp=3, fp=1),
+                         completeness=completeness)
+
+    results = SuiteResults([record("ci", "complete"),
+                            record("hybrid-optimized", "partial-budget"),
+                            record("cs", "failed")])
+    configs = ["ci", "hybrid-optimized", "cs"]
+    t3 = format_table3(results, configs).splitlines()
+    row = t3[2].split()
+    assert row == ["X", "4", "0.50", "4*", "0.50", "-", "-"]
+    assert t3[-1].startswith("* partial-budget")
+    f4 = format_figure4(results, apps=["X"], configs=configs)
+    assert f4.splitlines()[3].split() == \
+        ["X", "3/1/0", "3/1/0*", "(out", "of", "budget)"]
+    assert f4.splitlines()[-1].startswith("* partial-budget")
+    clean = SuiteResults([record("ci", "complete")])
+    assert "partial-budget" not in format_table3(clean, ["ci"])
+
+
 def test_table2_renderer():
     apps = generate_suite(["I"])
     stats = [compute_stats(apps["I"])]

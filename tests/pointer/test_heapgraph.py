@@ -34,27 +34,30 @@ def test_successors_one_step():
 
 def test_reachable_unbounded():
     hg, outer, inner, leaf = build()
-    assert hg.reachable([outer]) == {outer, inner, leaf}
+    assert hg.reachable([outer]) == ({outer, inner, leaf}, False)
 
 
 def test_reachable_depth_zero_is_roots_only():
     hg, outer, inner, leaf = build()
-    assert hg.reachable([outer], max_depth=0) == {outer}
+    assert hg.reachable([outer], max_depth=0) == ({outer}, True)
 
 
 def test_reachable_depth_one():
     hg, outer, inner, leaf = build()
-    assert hg.reachable([outer], max_depth=1) == {outer, inner}
+    assert hg.reachable([outer], max_depth=1) == ({outer, inner}, True)
 
 
 def test_reachable_depth_two_covers_all():
     hg, outer, inner, leaf = build()
-    assert hg.reachable([outer], max_depth=2) == {outer, inner, leaf}
+    # Nothing lies past the bound: the sweep is complete, not cut.
+    assert hg.reachable([outer], max_depth=2) == \
+        ({outer, inner, leaf}, False)
 
 
 def test_reachable_multiple_roots():
     hg, outer, inner, leaf = build()
-    assert hg.reachable([inner, leaf], max_depth=0) == {inner, leaf}
+    assert hg.reachable([inner, leaf], max_depth=0) == \
+        ({inner, leaf}, False)
 
 
 def test_cycle_terminates():
@@ -70,4 +73,4 @@ class Main {
 }""")
     hg = HeapGraph(pa)
     a = next(iter(pa.points_to_var("Main.main/0", "a.1")))
-    assert len(hg.reachable([a])) == 2
+    assert len(hg.reachable([a])[0]) == 2

@@ -1,7 +1,7 @@
 """Corpus contracts of the serial taint sweep, over the micro +
 securibench corpora.
 
-Five contracts, each on every corpus program:
+Six contracts, each on every corpus program:
 
 * **rule isolation** — slicing one rule alone finds exactly that rule's
   flows from the full sweep, so nothing one rule leaves behind (the
@@ -16,7 +16,10 @@ Five contracts, each on every corpus program:
   the ladder on, ends on hybrid with exactly hybrid's flows;
 * **facade** — two ``TAJ`` analyses of one program give identical
   issue lists and SARIF logs, and the SARIF log holds one result per
-  issue under a successful, complete invocation.
+  issue under a successful, complete invocation;
+* **one verdict** — under every preset, a run is ``complete`` exactly
+  when it recorded no degradation and no diagnostic, and ``failed``
+  exactly when its completeness says so.
 """
 
 import json
@@ -29,7 +32,7 @@ from repro.modeling import prepare
 from repro.pointer import PointerAnalysis
 from repro.pointer.heapgraph import HeapGraph
 from repro.reporting import render_sarif
-from repro.resilience import COMPLETE, ResilienceContext
+from repro.resilience import COMPLETE, FAILED, ResilienceContext
 from repro.sdg.hsdg import DirectEdges
 from repro.sdg.noheap import NoHeapSDG
 from repro.slicing.cs import CSExtendedSDG
@@ -93,10 +96,11 @@ def test_rule_order_and_rerun_do_not_change_the_flows(name, source):
 @pytest.mark.parametrize("name,source", CORPUS, ids=CORPUS_IDS)
 def test_cs_hybrid_ci_refine_each_other(name, source):
     prepared, analysis = solved(source)
-    cs = engine(prepared, analysis, strategy="cs").run()
-    hybrid = engine(prepared, analysis).run()
-    ci = engine(prepared, analysis, strategy="ci").run()
-    assert not (cs.failed or hybrid.failed or ci.failed), name
+    engines = [engine(prepared, analysis, strategy=strategy)
+               for strategy in ("cs", "hybrid", "ci")]
+    cs, hybrid, ci = [each.run() for each in engines]
+    assert [each.resilience.completeness() for each in engines] == \
+        [COMPLETE] * 3, name
     assert pairs(cs.flows) <= pairs(hybrid.flows), name
     assert pairs(hybrid.flows) <= pairs(ci.flows), name
 
@@ -110,8 +114,8 @@ def test_tripped_cs_falls_back_to_exactly_the_hybrid_flows(name, source):
                       budget=Budget(max_state_units=1),
                       resilience=res).run()
     assert laddered.final_strategy == "hybrid", name
-    assert not laddered.failed, name
-    assert [d.fallback for d in laddered.degradations] == ["hybrid"], name
+    assert res.failed_phase is None, name
+    assert [d.fallback for d in res.degradations] == ["hybrid"], name
     assert keys(laddered.flows) == keys(hybrid.flows), name
     assert laddered.completed_rules == hybrid.completed_rules, name
 
@@ -134,3 +138,18 @@ def test_facade_reports_repeat_and_sarif_mirrors_them(name, source):
     invocation = sarif["invocations"][0]
     assert invocation["executionSuccessful"] is True, name
     assert invocation["properties"]["completeness"] == COMPLETE, name
+
+
+PRESETS = [TAJConfig.hybrid_unbounded, TAJConfig.hybrid_optimized,
+           TAJConfig.hybrid_prioritized, TAJConfig.cs, TAJConfig.ci]
+
+
+@pytest.mark.parametrize("name,source", CORPUS, ids=CORPUS_IDS)
+def test_one_verdict_under_every_preset(name, source):
+    for preset in PRESETS:
+        result = TAJ(preset()).analyze_sources([source])
+        recorded = bool(result.degradations or result.diagnostics)
+        assert (result.completeness == COMPLETE) is not recorded, \
+            (name, result.config_name)
+        assert result.failed is (result.completeness == FAILED), \
+            (name, result.config_name)

@@ -137,6 +137,22 @@ def test_fault_plan_removed_process_action_exits_two(tmp_path, capsys,
     assert action in captured.err
 
 
+@pytest.mark.parametrize("fault", [
+    {"seam": "slicing.hybird", "at": 0},
+    {"seam": "pointer.solve", "action": "trip-deadline"},
+], ids=["misspelled-seam", "trip-deadline-without-deadline"])
+def test_fault_plan_that_can_never_fire_exits_two(tmp_path, capsys, fault):
+    """A plan that could not fire as written is rejected up front, not
+    run as a silent no-op."""
+    good = write(tmp_path, "good.jlang", GOOD)
+    plan = write(tmp_path, "plan.json", json.dumps([fault]))
+    code = main(["--config", "unbounded", "--fault-plan", plan, good])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert "invalid fault plan" in captured.err
+    assert "TAJ report" not in captured.out
+
+
 def test_non_decimal_digit_is_a_positioned_frontend_error(tmp_path, capsys):
     """``²`` passes ``str.isdigit`` but is not a decimal digit: it is an
     unexpected character at its position, not a crash in ``int()``."""
@@ -148,3 +164,41 @@ def test_non_decimal_digit_is_a_positioned_frontend_error(tmp_path, capsys):
     assert "[frontend] LexError: unexpected character '²' at 1:30" \
         in captured.err
     assert "Traceback" not in captured.err + captured.out
+
+
+# -- the verdict of a bounded run ---------------------------------------------
+
+@pytest.fixture(scope="module")
+def scale10_files(tmp_path_factory):
+    from repro.bench.generator import scaling_corpus
+    app = scaling_corpus(10, seed=7)
+    root = tmp_path_factory.mktemp("scale10")
+    files = [write(root, f"unit{i}.jlang", source)
+             for i, source in enumerate(app.sources)]
+    if app.deployment_descriptor:
+        files = ["--descriptor",
+                 write(root, "ejb.json",
+                       json.dumps(app.deployment_descriptor))] + files
+    return files
+
+
+def test_call_graph_budget_cut_is_the_verdict(scale10_files, capsys):
+    """The default (optimized) preset's call-graph budget cuts a scale-10
+    app: every output says so, and the exit code is 1."""
+    assert main(scale10_files) == 1
+    out = capsys.readouterr().out
+    assert "completeness: partial-budget" in out
+    assert "pointer_analysis [budget] -> truncate-callgraph" in out
+    assert "truncated" not in out
+
+    assert main(["--json"] + scale10_files) == 1
+    payload = json.loads(capsys.readouterr().out)
+    assert "truncated" not in payload
+    assert payload["completeness"] == "partial-budget"
+    assert payload["degradations"][0]["fallback"] == "truncate-callgraph"
+
+    assert main(["--sarif"] + scale10_files) == 1
+    sarif = json.loads(capsys.readouterr().out)
+    invocation = sarif["runs"][0]["invocations"][0]
+    assert invocation["executionSuccessful"] is False
+    assert invocation["properties"]["completeness"] == "partial-budget"

@@ -4,8 +4,9 @@ import pytest
 
 from repro.bounds import BudgetExhausted
 from repro.lang.errors import SourceError
-from repro.resilience import (Deadline, DeadlineExceeded, Fault,
-                              FaultInjector, FaultPlan, InjectedFault)
+from repro.resilience import (SEAMS, Deadline, DeadlineExceeded, Fault,
+                              FaultInjector, FaultPlan, InjectedFault,
+                              ResilienceContext)
 
 
 def test_fault_validation():
@@ -13,6 +14,26 @@ def test_fault_validation():
         Fault("pointer.solve", action="explode")
     with pytest.raises(ValueError):
         Fault("pointer.solve", exception="oom")
+
+
+def test_unknown_seam_is_rejected():
+    """A misspelled seam would never fire; the plan is invalid."""
+    with pytest.raises(ValueError, match="slicing.hybird"):
+        Fault("slicing.hybird")
+    for seam in SEAMS:
+        Fault(seam)
+
+
+def test_unknown_key_is_rejected():
+    with pytest.raises(ValueError, match="exceptoin"):
+        Fault.from_dict({"seam": "sdg.build", "exceptoin": "budget"})
+
+
+def test_trip_deadline_needs_a_deadline():
+    plan = FaultPlan.of(Fault("pointer.solve", action="trip-deadline"))
+    with pytest.raises(ValueError, match="trip-deadline"):
+        ResilienceContext(faults=plan)
+    ResilienceContext(deadline=Deadline(3600.0), faults=plan)
 
 
 def test_plan_round_trips_through_dicts():
@@ -46,13 +67,13 @@ def test_injector_ticks_are_per_seam():
 
 
 def test_exception_kinds():
-    assert isinstance(Fault("x", exception="budget").build_exception(),
+    assert isinstance(Fault("ci.step", exception="budget").build_exception(),
                       BudgetExhausted)
-    assert isinstance(Fault("x", exception="deadline").build_exception(),
+    assert isinstance(Fault("ci.step", exception="deadline").build_exception(),
                       DeadlineExceeded)
-    assert isinstance(Fault("x", exception="source").build_exception(),
+    assert isinstance(Fault("ci.step", exception="source").build_exception(),
                       SourceError)
-    assert isinstance(Fault("x").build_exception(), InjectedFault)
+    assert isinstance(Fault("ci.step").build_exception(), InjectedFault)
 
 
 def test_corrupt_replaces_payload():

@@ -91,7 +91,7 @@ def test_ci_sound_for_threads():
 def test_cs_memory_budget_failure():
     config = TAJConfig.cs(max_state_units=5)
     result = run(config, MICRO_CASES["heap_flow"][0])
-    assert result.failed
+    assert result.failed and result.completeness == "failed"
     assert result.issues == 0
     assert "state_units" in (result.failure or "")
 
@@ -100,7 +100,10 @@ def test_heap_transition_bound_truncates():
     config = TAJConfig.hybrid_unbounded().with_budget(
         max_heap_transitions=0)
     result = run(config, MICRO_CASES["heap_flow"][0])
-    assert result.truncated
+    assert result.completeness == "partial-budget"
+    assert [(d.phase, d.trigger, d.fallback)
+            for d in result.degradations] == \
+        [("taint", "budget", "truncate-slice")]
     assert result.issues == 0
 
 

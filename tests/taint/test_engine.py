@@ -7,6 +7,7 @@ from repro.modeling import prepare, default_natives, COLLECTION_CLASSES, \
     FACTORY_METHODS
 from repro.pointer import ContextPolicy, PointerAnalysis, PolicyConfig
 from repro.pointer.heapgraph import HeapGraph
+from repro.resilience import COMPLETE, FAILED
 from repro.sdg.hsdg import DirectEdges
 from repro.sdg.noheap import NoHeapSDG
 from repro.taint import TaintEngine, default_rules, make_slicer
@@ -42,7 +43,7 @@ def test_engine_runs_all_rules(pieces):
     result = engine.run()
     rules = {f.rule for f in result.flows}
     assert rules == {"XSS", "SQLI"}
-    assert not result.failed
+    assert engine.resilience.completeness() == COMPLETE
     # Single timing source: the engine keeps no clock of its own — the
     # taint phase duration comes from the phase.taint tracer span.
     assert not hasattr(result, "seconds")
@@ -69,7 +70,8 @@ def test_cs_budget_failure_reports_cleanly(pieces):
     result = engine.run()
     # The plain no-heap SDG has no modref; the meter still charges per
     # fact, so the tiny budget fails the run.
-    assert result.failed
+    assert engine.resilience.completeness() == FAILED
+    assert engine.resilience.failed_phase == "taint"
     assert result.flows == []
 
 
@@ -108,7 +110,7 @@ def test_budget_abort_preserves_completed_rule_flows(pieces):
     engine = TaintEngine(sdg, direct, heap, default_rules(),
                          Budget(max_state_units=budget))
     result = engine.run()
-    assert result.failed
+    assert engine.resilience.completeness() == FAILED
     assert result.completed_rules, "rule 1 completed before the trip"
     kept = {f.rule for f in result.flows}
     assert set(result.completed_rules) == kept
